@@ -1,0 +1,6 @@
+"""The repository benchmark: named workloads, end-to-end and per-layer.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; ``BENCHMARK.json`` names the
+workloads and metrics and ``perfbench/NOTES.md`` explains them.
+"""
