@@ -572,11 +572,19 @@ def _graft_cluster_trace(router_doc: dict, node_docs: dict[str, dict]) -> dict:
     return router_doc
 
 
-def _render_cluster_traces(args: argparse.Namespace, stats_doc: dict) -> None:
-    """`repro trace --serve` against a router: the merged flight view."""
+def _render_serve_traces(args: argparse.Namespace) -> None:
+    """Flight-recorder traces from a live server or cluster router.
+
+    A plain server is a cluster with zero members: the listing merges the
+    front door's recorder with every reachable member's, and
+    ``--trace-id`` grafts the members' subtrees into the front door's
+    span tree.
+    """
+    stats_doc = _http_json(args.serve_addr, "/stats")
+    front = "router" if "cluster" in stats_doc else "server"
     members = _member_http_addrs(stats_doc)
     if args.trace_id:
-        router_doc = _http_json(args.serve_addr, f"/debug/traces?id={args.trace_id}")
+        front_doc = _http_json(args.serve_addr, f"/debug/traces?id={args.trace_id}")
         node_docs: dict[str, dict] = {}
         for node_id, addr in members.items():
             try:
@@ -585,11 +593,11 @@ def _render_cluster_traces(args: argparse.Namespace, stats_doc: dict) -> None:
                 )
             except CommandError:
                 continue  # this member never saw the trace (or is down)
-        doc = _graft_cluster_trace(router_doc, node_docs)
+        doc = _graft_cluster_trace(front_doc, node_docs)
         print(
             f"trace {doc['trace_id']}  op={doc['op']} status={doc['status']} "
             f"n={doc.get('n')} {doc['seconds'] * 1e3:.3f}ms "
-            f"(router + {len(node_docs)} node subtree(s))"
+            f"({front} + {len(node_docs)} node subtree(s))"
         )
         spans = doc.get("spans")
         if spans:
@@ -601,7 +609,7 @@ def _render_cluster_traces(args: argparse.Namespace, stats_doc: dict) -> None:
     if args.slow_only:
         query += "&slow=1"
     rows = []
-    sources = {"router": args.serve_addr, **members}
+    sources = {front: args.serve_addr, **members}
     reachable = 0
     for label, addr in sources.items():
         try:
@@ -618,58 +626,10 @@ def _render_cluster_traces(args: argparse.Namespace, stats_doc: dict) -> None:
     rows.sort(key=lambda r: r[-1] if len(r) == 7 else 0.0, reverse=True)
     print(
         ascii_table(
-            ["node", "trace_id", "op", "status", "n", "ms"],
+            ["source", "trace_id", "op", "status", "n", "ms"],
             [r[:6] for r in rows[: args.limit]],
-            title=f"Flight recorder — cluster view ({reachable} listeners)",
+            title=f"Flight recorder — retained traces ({reachable} listeners)",
         )
-    )
-    print("use --trace-id <id> for one stitched span tree across the cluster")
-
-
-def _render_serve_traces(args: argparse.Namespace) -> None:
-    """Flight-recorder traces from a live server, rendered for humans."""
-    stats_doc = _http_json(args.serve_addr, "/stats")
-    if "cluster" in stats_doc:
-        _render_cluster_traces(args, stats_doc)
-        return
-    if args.trace_id:
-        doc = _http_json(args.serve_addr, f"/debug/traces?id={args.trace_id}")
-        print(
-            f"trace {doc['trace_id']}  op={doc['op']} status={doc['status']} "
-            f"n={doc.get('n')} {doc['seconds'] * 1e3:.3f}ms"
-        )
-        spans = doc.get("spans")
-        if spans:
-            print(obs.render_spans([obs.Span.from_dict(spans)], max_children=16))
-        return
-    query = f"/debug/traces?limit={args.limit}"
-    if args.errors_only:
-        query += "&errors=1"
-    if args.slow_only:
-        query += "&slow=1"
-    doc = _http_json(args.serve_addr, query)
-    rows = [
-        (
-            t["trace_id"],
-            t["op"],
-            t["status"],
-            t.get("n", ""),
-            f"{t['seconds'] * 1e3:.3f}",
-        )
-        for t in doc.get("traces", [])
-    ]
-    print(
-        ascii_table(
-            ["trace_id", "op", "status", "n", "ms"],
-            rows,
-            title="Flight recorder — retained traces",
-        )
-    )
-    st = doc.get("stats") or {}
-    print(
-        f"\nrecorded={st.get('recorded', 0)} retained={st.get('retained', 0)} "
-        f"evicted={st.get('evicted', 0)} sampled={st.get('sampled', 0)} "
-        f"(ring {st.get('ring_size', 0)}/{st.get('capacity', 0)})"
     )
     print("use --trace-id <id> for one full span tree")
 
@@ -715,32 +675,52 @@ def _serve_config(args: argparse.Namespace):
 
 
 def _cmd_serve(args: argparse.Namespace) -> None:
-    """Boot the planning service, pre-register the testbed fleet, serve.
+    """Boot the planning service, pre-register the testbed fleet, serve."""
+    from .serve import start_in_thread
 
-    ``--once`` answers a single self-issued query and exits (a built-in
-    sanity check, also used by the CLI tests); without it the server
-    runs until interrupted and drains in-flight requests on Ctrl-C.
+    handle = start_in_thread(_serve_config(args))
+    try:
+        _serve_testbed(
+            args, handle, "serving on {addr}",
+            lambda info: f"(p={info['p']}, shard {info['shard']})",
+        )
+    finally:
+        handle.stop()
+
+
+def _serve_testbed(
+    args: argparse.Namespace,
+    handle,
+    banner: str,
+    placement: Callable[[dict], str],
+) -> None:
+    """Register the testbed fleet on a booted front door and serve it.
+
+    ``banner`` is the listening line (``{addr}`` is filled in) and
+    ``placement`` describes where the registered fleet landed.
+    ``--once`` answers a single self-issued query and returns (a built-in
+    sanity check, also used by the CLI tests); without it this runs until
+    interrupted.  The caller stops the front door, draining in-flight
+    requests.
     """
     import time as _time
 
     from .experiments import tile_speed_functions
-    from .serve import ServeClient, start_in_thread
+    from .serve import ServeClient
 
-    net = table2_network()
-    models = build_network_models(net, args.kernel)
+    models = build_network_models(table2_network(), args.kernel)
     p = args.p if args.p is not None else len(models)
     sfs = tile_speed_functions(models, p) if p != len(models) else models
-    handle = start_in_thread(_serve_config(args))
+    http = "disabled" if handle.http_port is None else handle.http_port
+    print(banner.format(addr=f"{handle.host}:{handle.port} (http {http})"))
     try:
         with ServeClient(handle.host, handle.port) as client:
             info = client.register_fleet(
                 sfs, name=f"table2-{args.kernel}-p{p}", algorithm=args.algorithm
             )
-            http = "disabled" if handle.http_port is None else handle.http_port
-            print(f"serving on {handle.host}:{handle.port} (http {http})")
             print(
                 f"fleet {info['name']} registered: fingerprint "
-                f"{info['fingerprint']} (p={info['p']}, shard {info['shard']})"
+                f"{info['fingerprint']} {placement(info)}"
             )
             if args.once:
                 n = max(1, int(info["capacity"]) // 2)
@@ -756,8 +736,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
                 _time.sleep(1.0)
     except KeyboardInterrupt:  # pragma: no cover - interactive loop
         print("draining")
-    finally:
-        handle.stop()
 
 
 def _parse_hostport(value: str, flag: str) -> tuple[str, int]:
@@ -863,54 +841,22 @@ def _print_cluster_status(doc: dict) -> None:
 
 
 def _cluster_up(args: argparse.Namespace) -> None:
-    import time as _time
-
+    """Boot ``--nodes`` node processes and a router, then serve the testbed."""
     from .cluster import RouterConfig, start_process_node, start_router_in_thread
-    from .experiments import tile_speed_functions
-    from .serve import ServeClient
-
-    models = build_network_models(table2_network(), args.kernel)
-    p = args.p if args.p is not None else len(models)
-    sfs = tile_speed_functions(models, p) if p != len(models) else models
 
     members = [start_process_node(f"n{i}") for i in range(args.nodes)]
     router = start_router_in_thread(
-        RouterConfig(
-            host=args.host,
-            port=args.port,
-            http_port=None if args.http_port < 0 else args.http_port,
-            replication=args.replication,
-        ),
+        RouterConfig(replication=args.replication),
         [m.info for m in members],
+        _serve_config(args),
     )
     try:
-        http = "disabled" if router.http_port is None else router.http_port
-        print(
-            f"cluster router on {router.host}:{router.port} (http {http}) over "
-            f"{args.nodes} node(s): " + ", ".join(m.node_id for m in members)
+        _serve_testbed(
+            args, router,
+            f"cluster router on {{addr}} over {args.nodes} node(s): "
+            + ", ".join(m.node_id for m in members),
+            lambda info: f"on {' '.join(info['registered'])}",
         )
-        with ServeClient(router.host, router.port) as client:
-            info = client.register_fleet(
-                sfs, name=f"table2-{args.kernel}-p{p}", algorithm=args.algorithm
-            )
-            print(
-                f"fleet {info['name']} registered: fingerprint "
-                f"{info['fingerprint']} on {' '.join(info['registered'])}"
-            )
-            if args.once:
-                n = max(1, int(info["capacity"]) // 2)
-                result = client.plan(info["fingerprint"], n, allocation=False)
-                print(
-                    f"self-check plan n={n}: makespan {result['makespan']:.6g}s "
-                    f"in {result['iterations']} iterations"
-                )
-                print("draining")
-                return
-            print("press Ctrl-C to drain and stop")
-            while True:  # pragma: no cover - interactive loop
-                _time.sleep(1.0)
-    except KeyboardInterrupt:  # pragma: no cover - interactive loop
-        print("draining")
     finally:
         router.stop()
         for m in members:

@@ -27,6 +27,7 @@ from typing import Any
 from ..serve.server import ServerHandle, start_in_thread
 from ..serve.service import ServeConfig
 from .membership import NodeInfo
+from .pool import NodeUnavailable
 
 __all__ = [
     "ProcessNode",
@@ -52,11 +53,25 @@ def _node_config(node_id: str, **overrides: Any) -> ServeConfig:
 
 
 def _child_main(conn, config: ServeConfig) -> None:  # pragma: no cover - child
-    """Child-process body: boot the server, report ports, await stop."""
+    """Child-process body: boot the server, report ports, await stop.
+
+    A boot failure is reported to the parent as ``{"error": ...}`` (the
+    exception's type and message) instead of a silently closed pipe.
+    """
     # The child must not inherit the parent's signal-driven test harness
     # behaviour; default handlers make SIGTERM a clean exit path.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    handle = start_in_thread(config)
+    # The node is started daemonic so it dies with its parent, but a
+    # daemonic process may not start children of its own; process shard
+    # workers (worker_mode="process") need to, so the node clears the
+    # flag on itself once it runs.
+    multiprocessing.current_process().daemon = False
+    try:
+        handle = start_in_thread(config)
+    except BaseException as exc:  # noqa: BLE001 - reported to the parent
+        conn.send({"error": f"{type(exc).__name__}: {exc}"})
+        conn.close()
+        raise
     conn.send({"port": handle.port, "http_port": handle.http_port})
     try:
         conn.recv()  # blocks until the parent asks for a graceful stop
@@ -157,7 +172,9 @@ def start_process_node(
     ``overrides`` are :class:`~repro.serve.ServeConfig` fields (shards,
     worker_mode, tracing, ...).  The returned node's ``node_id`` is its
     final ``host:port``, matching what the router derives from the
-    address — ``name`` only labels the child process.
+    address — ``name`` only labels the child process.  A child that fails
+    to boot raises :class:`~repro.cluster.pool.NodeUnavailable` naming the
+    child's exception.
     """
     ctx = _mp_context()
     parent_conn, child_conn = ctx.Pipe()
@@ -174,7 +191,17 @@ def start_process_node(
     if not parent_conn.poll(max(0.0, deadline - time.monotonic())):
         process.kill()
         raise RuntimeError(f"cluster node {name!r} did not start in time")
-    ports = parent_conn.recv()
+    try:
+        ports = parent_conn.recv()
+    except EOFError:
+        ports = {"error": "the node process exited while booting"}
+    if "error" in ports:
+        process.join(timeout=5.0)
+        parent_conn.close()
+        raise NodeUnavailable(
+            f"cluster node {name!r} failed to boot: {ports['error']} "
+            f"(exit code {process.exitcode})"
+        )
     info = NodeInfo(host=config.host, port=ports["port"], http_port=ports["http_port"])
     return ProcessNode(
         info.node_id, process, parent_conn, info.host, info.port, info.http_port

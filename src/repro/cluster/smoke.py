@@ -29,6 +29,7 @@ from ..experiments import build_network_models, tile_speed_functions
 from ..machines import table2_network
 from ..planner import Fleet, Planner
 from ..serve.client import ServeClient, run_load
+from ..serve.service import ServeConfig
 from .node import start_process_node
 from .router import RouterConfig, start_router_in_thread
 
@@ -53,8 +54,9 @@ def main(argv: list[str] | None = None) -> int:
     failures = 0
     members = [start_process_node(f"smoke-n{i}") for i in range(args.nodes)]
     router = start_router_in_thread(
-        RouterConfig(http_port=0, probe_interval=0.1),
+        RouterConfig(probe_interval=0.1),
         [m.info for m in members],
+        ServeConfig(http_port=0),
     )
     try:
         print(

@@ -536,6 +536,44 @@ def error_response(
     return out
 
 
+def _item_error(code: str, message: str) -> dict:
+    """One per-item verdict inside a ``plan_many`` result (or a shard payload)."""
+    return {"ok": False, "code": code, "message": message}
+
+
+def _plan_fields(
+    fleet: str,
+    *,
+    n: int | None = None,
+    ns: Sequence[int] | None = None,
+    allocation: bool = True,
+    timeout_ms: float | None = None,
+    trace: Mapping | None = None,
+    tenant: str = "",
+    idempotency_key: str | None = None,
+) -> dict:
+    """The wire fields of a ``plan`` (``n``) or ``plan_many`` (``ns``) frame.
+
+    Optional fields are left out when unset, so frames from callers that
+    never use them stay exactly what protocol v1 always accepted.
+    """
+    fields: dict[str, Any] = {"fleet": fleet}
+    if ns is None:
+        fields["n"] = int(n)
+    else:
+        fields["ns"] = [int(x) for x in ns]
+    fields["allocation"] = allocation
+    if timeout_ms is not None:
+        fields["timeout_ms"] = timeout_ms
+    if trace is not None:
+        fields["trace"] = dict(trace)
+    if tenant:
+        fields["tenant"] = tenant
+    if idempotency_key is not None:
+        fields["idempotency_key"] = idempotency_key
+    return fields
+
+
 # ---------------------------------------------------------------------------
 # Fleet specs: how a fleet's models travel between client, front-end and
 # worker shards.  Reuses the repro.io JSON records verbatim, which is what

@@ -33,7 +33,7 @@ import asyncio
 import json
 import logging
 import threading
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 from urllib.parse import parse_qs, urlsplit
 
 from .. import obs
@@ -394,12 +394,27 @@ def start_in_thread(
     port, a bad config — re-raise in the calling thread.
     """
     config = config or ServeConfig()
+    return _start_thread(
+        lambda: PlanningService(config), timeout=timeout, name="repro-serve"
+    )
+
+
+def _start_thread(
+    make_service: Callable[[], Any], *, timeout: float, name: str
+) -> ServerHandle:
+    """Build a service on a private event loop in a daemon thread, listen.
+
+    The one boot path of every front door: ``make_service`` runs on the
+    new loop, :class:`PlanServer` binds the listeners its ``config``
+    names, and the call returns once they are bound (or re-raises the
+    startup failure here).
+    """
     started = threading.Event()
     state: dict[str, Any] = {}
 
     async def _amain() -> None:
-        service = PlanningService(config)
-        server = PlanServer(service, config)
+        service = make_service()
+        server = PlanServer(service)
         try:
             await server.start()
         except BaseException as exc:
@@ -422,10 +437,10 @@ def start_in_thread(
             state.setdefault("error", exc)
             started.set()
 
-    thread = threading.Thread(target=_runner, name="repro-serve", daemon=True)
+    thread = threading.Thread(target=_runner, name=name, daemon=True)
     thread.start()
     if not started.wait(timeout=timeout):  # pragma: no cover - hung startup
-        raise RuntimeError("the serve thread did not start in time")
+        raise RuntimeError(f"the {name} thread did not start in time")
     if "error" in state:
         raise state["error"]
     return ServerHandle(

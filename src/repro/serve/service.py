@@ -1,9 +1,20 @@
-"""The planning service: batching, admission control, op dispatch.
+"""The planning service: one request envelope, batching, admission control.
 
 :class:`PlanningService` is the transport-agnostic heart of
 :mod:`repro.serve`.  The TCP and HTTP listeners, the smoke target and the
 unit tests all feed decoded request objects into :meth:`PlanningService.handle`
 and get response dicts back; everything below that call is this module:
+
+**One envelope, two dispatch strategies.**  ``handle`` is written once,
+on :class:`_FrontDoor`: validate → trace open → dispatch → trace close →
+latency → response, never raising — a protocol error or an unexpected
+failure becomes a typed error envelope carrying the request id (and the
+trace id, once a trace is open).  This service and the cluster router
+(:class:`~repro.cluster.router.RouterService`) both subclass it and
+supply only what differs: the checks that run before a trace opens, the
+dispatch of data ops (here: the micro-batcher over local shards; there:
+the replica walk over remote nodes), their ``health``/``stats``
+documents, and a fixed metric and span prefix (``serve`` / ``cluster``).
 
 **Micro-batching.**  Concurrent ``plan`` requests for the same fleet
 fingerprint are coalesced: the first arrival opens a batching window
@@ -59,6 +70,7 @@ from .protocol import (
     ProtocolError,
     RegisterFleetRequest,
     StatsRequest,
+    _item_error,
     error_code_for,
     error_response,
     fleet_spec_from_speed_functions,
@@ -342,11 +354,213 @@ class _RefitState:
         self.invalidated = 0      # cached plans dropped by those refits
 
 
-def _item_error(code: str, message: str) -> dict:
-    return {"ok": False, "code": code, "message": message}
+class _FrontDoor:
+    """The request envelope every front door answers ``handle`` through.
+
+    A front door subclasses it and supplies only what differs between a
+    planning server and a cluster router:
+
+    * :meth:`_validate` — the checks that run before a trace opens
+      (default: :func:`~repro.serve.protocol.parse_request` alone);
+    * :meth:`_dispatch` — the answer to a data op, as ``(response,
+      status)``, where ``status`` is what the flight recorder files;
+    * ``register_fleet(spec=...)``, ``health()`` and ``stats()``;
+    * :meth:`_answered` — per-front-door accounting once a response exists;
+    * the class constants below, fixed per class and not settings.
+
+    Ops in ``_TRACED_OPS`` get a root span named ``<prefix>.<op>``; every
+    request lands one observation in ``<prefix>.request.seconds`` under
+    its op label (with obs enabled, or whenever it was traced).
+    """
+
+    #: Metric and span prefix, with the help texts of the two metrics the
+    #: envelope owns.
+    _PREFIX = ""
+    _REQUESTS_HELP = ""
+    _LATENCY_HELP = ""
+    #: Op labels of the request-seconds histogram ("invalid" catches the rest).
+    _OPS: tuple[str, ...] = ()
+    #: Ops that open a trace.
+    _TRACED_OPS: frozenset[str] = frozenset()
+
+    def __init__(self, config: ServeConfig):
+        self._config = config
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._draining = False
+        self._started_at = time.time()
+        registry = obs.get_registry()
+        self._requests = registry.counter(
+            f"{self._PREFIX}.requests", help=self._REQUESTS_HELP
+        )
+        self._latency = {
+            op: registry.histogram(
+                f"{self._PREFIX}.request.seconds",
+                labels={"op": op},
+                help=self._LATENCY_HELP,
+            )
+            for op in self._OPS
+        }
+        self._tracing = bool(config.tracing)
+        # The recorder exists even with tracing off, so the /debug/traces
+        # route and the stats shape stay stable (the recorder then only
+        # counts sampled-away requests).
+        self._recorder = FlightRecorder(
+            config.flight_capacity,
+            retain_capacity=config.flight_retain,
+            slow_k=config.flight_slow_k,
+        )
+
+    @property
+    def config(self) -> ServeConfig:
+        """Listener and tracing settings (what the listeners read)."""
+        return self._config
+
+    @property
+    def draining(self) -> bool:
+        return self._draining
+
+    @property
+    def recorder(self) -> FlightRecorder:
+        """The flight recorder holding recently completed request traces."""
+        return self._recorder
+
+    # -- the envelope ---------------------------------------------------
+    async def handle(self, raw: Any) -> dict:
+        """One decoded frame in, one response dict out (never raises)."""
+        self._requests.inc()
+        req_id = raw.get("id") if isinstance(raw, Mapping) else None
+        started = time.perf_counter()
+        started_wall = time.time()
+        op, status, fleet, n = "invalid", "ok", "", None
+        ctx: TraceContext | None = None
+        root: Span | None = None
+        try:
+            request = self._validate(raw)
+            op = request.op
+            fleet, n = getattr(request, "fleet", ""), getattr(request, "n", None)
+            if op in self._TRACED_OPS:
+                ctx, root = self._open_trace(request)
+            response, status = await self._answer(request, ctx, root)
+        except ProtocolError as exc:
+            status = exc.code
+            response = error_response(req_id, exc.code, str(exc))
+        except Exception as exc:  # noqa: BLE001 - the envelope must not leak
+            logger.exception("%s request handling failed", self._PREFIX)
+            status = error_code_for(exc)
+            response = error_response(req_id, status, str(exc))
+        trace_id = ctx.trace_id if ctx is not None else None
+        if trace_id:
+            response["trace_id"] = trace_id
+        elapsed = time.perf_counter() - started
+        if obs.is_enabled() or root is not None:
+            self._latency[op if op in self._latency else "invalid"].observe(
+                elapsed, exemplar=trace_id
+            )
+        if root is not None:
+            self._close_trace(root, op, status, fleet, n, started_wall, elapsed)
+        self._answered(response, status, fleet, n, elapsed, traced=root is not None)
+        return response
+
+    async def _answer(
+        self, request: Any, ctx: TraceContext | None, root: Span | None
+    ) -> tuple[dict, str]:
+        """Answer the ops every front door serves alike; data ops dispatch."""
+        if isinstance(request, RegisterFleetRequest):
+            # Round-trip the records through the model classes, so the
+            # spec carries canonical records and the fingerprint is the
+            # one a local build of the same models gets.
+            spec = fleet_spec_from_speed_functions(
+                speed_functions_from_fleet_spec(
+                    {"speed_functions": request.speed_functions}
+                ),
+                name=request.name,
+                algorithm=request.algorithm,
+                options=request.options,
+                cache_size=request.cache_size,
+            )
+            return ok_response(request.id, await self.register_fleet(spec=spec)), "ok"
+        if isinstance(request, StatsRequest):
+            return ok_response(request.id, await self.stats()), "ok"
+        if isinstance(request, HealthRequest):
+            return ok_response(request.id, self.health()), "ok"
+        return await self._dispatch(request, ctx, root)
+
+    def _validate(self, raw: Any) -> Any:
+        """The typed request, or a :class:`ProtocolError` before any trace."""
+        return parse_request(raw)
+
+    async def _dispatch(
+        self, request: Any, ctx: TraceContext | None, root: Span | None
+    ) -> tuple[dict, str]:
+        """Answer one data op: ``(response, status for the recorder)``."""
+        raise NotImplementedError
+
+    def _answered(
+        self, response: dict, status: str, fleet: str, n: int | None,
+        seconds: float, *, traced: bool,
+    ) -> None:
+        """Accounting after the response is built (none by default)."""
+
+    # -- tracing --------------------------------------------------------
+    def _open_trace(self, request: Any) -> tuple[TraceContext | None, Span | None]:
+        """The request's own trace identity and this front door's root span.
+
+        A client-supplied context stays the trace's identity (its span
+        becomes our parent); otherwise a fresh trace is started.  With
+        tracing off, no span is built — the request is counted as
+        sampled and a client trace id is merely echoed.
+        """
+        client = getattr(request, "trace", None)
+        if not self._tracing:
+            self._recorder.note_sampled()
+            return client, None
+        if isinstance(request, PlanRequest):
+            attrs: dict[str, Any] = {"n": request.n}
+        elif isinstance(request, PlanManyRequest):
+            attrs = {"count": len(request.ns)}
+        else:
+            attrs = {"count": len(request.observations)}
+        ctx = client.child() if client is not None else TraceContext.new()
+        root = Span(
+            name=f"{self._PREFIX}.{request.op}",
+            attrs=attrs,
+            trace_id=ctx.trace_id,
+            span_id=ctx.span_id,
+            parent_id=ctx.parent_id or "",
+            started=time.time(),
+        )
+        return ctx, root
+
+    def _close_trace(
+        self,
+        root: Span,
+        op: str,
+        status: str,
+        fleet: str,
+        n: int | None,
+        started_wall: float,
+        seconds: float,
+    ) -> None:
+        """Finish the request's root span and file it with the recorder."""
+        root.seconds = seconds
+        if status != "ok":
+            root.status = "error"
+            root.attrs["code"] = status
+        self._recorder.record(
+            RequestTrace(
+                trace_id=root.trace_id,
+                op=op,
+                status=status,
+                fleet=fleet,
+                n=n,
+                started=started_wall,
+                seconds=seconds,
+                root=root,
+            )
+        )
 
 
-class PlanningService:
+class PlanningService(_FrontDoor):
     """Async service answering protocol requests over a shard pool.
 
     Construct, then ``await start()`` from the event loop that will call
@@ -354,32 +568,24 @@ class PlanningService:
     so it needs no locks; the shard pool does its own synchronisation.
     """
 
+    _PREFIX = "serve"
+    _REQUESTS_HELP = "requests received, all operations"
+    _LATENCY_HELP = "front-end latency per request, by operation"
+    _OPS = (
+        "plan", "plan_many", "register_fleet", "observe", "health", "stats",
+        "invalid",
+    )
+    _TRACED_OPS = frozenset({"plan", "plan_many"})
+
     def __init__(self, config: ServeConfig | None = None):
-        self._config = config or ServeConfig()
+        super().__init__(config or ServeConfig())
         self._pool: ShardPool | None = None
         self._fleets: dict[str, dict] = {}
         self._refits: dict[str, _RefitState] = {}
         self._batches: dict[tuple[str, str], _BatchState] = {}
         self._inflight: set[asyncio.Task] = set()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._draining = False
-        self._started_at = time.time()
 
         registry = obs.get_registry()
-        self._latency = {
-            op: registry.histogram(
-                "serve.request.seconds",
-                labels={"op": op},
-                help="front-end latency per request, by operation",
-            )
-            for op in (
-                "plan", "plan_many", "register_fleet", "observe", "health",
-                "stats", "invalid",
-            )
-        }
-        self._requests = registry.counter(
-            "serve.requests", help="requests received, all operations"
-        )
         self._responses_ok = registry.counter(
             "serve.responses", labels={"status": "ok"}, help="responses by status"
         )
@@ -400,38 +606,14 @@ class PlanningService:
         self._quotas = QuotaManager(self._config.tenancy)
         self._idem = _IdempotencyWindow(self._config.idempotency_window)
         self._tenant_counters: dict[tuple[str, str], Any] = {}
-
-        cfg = self._config
-        self._tracing = bool(cfg.tracing)
-        # The recorder and sink exist even with tracing off, so the
-        # /debug/traces route and the stats shape stay stable (the
-        # recorder then only counts sampled-away requests).
-        self._recorder = FlightRecorder(
-            cfg.flight_capacity,
-            retain_capacity=cfg.flight_retain,
-            slow_k=cfg.flight_slow_k,
-        )
         self._sink = FleetTelemetrySink()
 
     # -- lifecycle ------------------------------------------------------
-    @property
-    def config(self) -> ServeConfig:
-        return self._config
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
     @property
     def pool(self) -> ShardPool:
         if self._pool is None:
             raise RuntimeError("the service has not been started")
         return self._pool
-
-    @property
-    def recorder(self) -> FlightRecorder:
-        """The flight recorder holding recently completed request traces."""
-        return self._recorder
 
     @property
     def sink(self) -> FleetTelemetrySink:
@@ -616,51 +798,11 @@ class PlanningService:
         ``tenant`` selects the fair-queueing lane and quota bucket;
         ``idempotency_key`` dedups retries within the server's window.
         """
-        if self._draining:
-            return _item_error("shutting_down", "the service is draining")
-        if fingerprint not in self._fleets:
-            return _item_error(
-                "unknown_fleet", f"fleet {fingerprint!r} is not registered"
-            )
-        assert self._loop is not None
-        idem_key = None
-        if idempotency_key is not None and self._idem.enabled:
-            idem_key = (fingerprint, "plan", tenant, idempotency_key)
-            found = self._idem.lookup(idem_key)
-            if found is not None:
-                kind, value = found
-                if kind == "pending":
-                    value = await value
-                return copy.deepcopy(value)
-        throttled = self._throttle(tenant, 1.0)
-        if throttled is not None:
-            return throttled
-        if idem_key is not None:
-            self._idem.reserve(idem_key, self._loop)
-        pending = _Pending(
-            int(n), self._deadline_for(timeout_ms), allocation,
-            self._loop.create_future(), trace, span,
+        items = await self._plan_items(
+            "plan", fingerprint, [n], timeout_ms=timeout_ms, allocation=allocation,
+            trace=trace, span=span, tenant=tenant, idempotency_key=idempotency_key,
         )
-        key = (fingerprint, tenant)
-        state = self._batches.get(key)
-        if state is None:
-            state = _BatchState()
-            self._batches[key] = state
-            state.timer = self._loop.call_later(
-                self._config.batch_window, self._flush, key
-            )
-        state.items.append(pending)
-        if len(state.items) >= self._config.max_batch:
-            self._flush(key)
-        item = _item_error("internal", "plan future abandoned")
-        try:
-            item = await pending.future
-            return item
-        finally:
-            if idem_key is not None:
-                self._idem.complete(
-                    idem_key, copy.deepcopy(item), ok=bool(item.get("ok"))
-                )
+        return items[0]
 
     async def plan_many(
         self,
@@ -675,6 +817,32 @@ class PlanningService:
         idempotency_key: str | None = None,
     ) -> list[dict]:
         """A caller-assembled batch: dispatched directly, no window."""
+        return await self._plan_items(
+            "plan_many", fingerprint, ns, timeout_ms=timeout_ms,
+            allocation=allocation, trace=trace, span=span, tenant=tenant,
+            idempotency_key=idempotency_key,
+        )
+
+    async def _plan_items(
+        self,
+        op: str,
+        fingerprint: str,
+        ns: Sequence[int],
+        *,
+        timeout_ms: float | None,
+        allocation: bool,
+        trace: TraceContext | None,
+        span: Span | None,
+        tenant: str,
+        idempotency_key: str | None,
+    ) -> list[dict]:
+        """Both plan paths: drain, registry, idempotency, quota, then shards.
+
+        A ``plan`` joins its ``(fleet, tenant)`` batching window; a
+        ``plan_many`` goes to the owning shard as a batch of its own.
+        Idempotency keys are scoped by ``op``, so the two never replay
+        each other's answers.
+        """
         if self._draining:
             return [_item_error("shutting_down", "the service is draining")] * len(ns)
         if fingerprint not in self._fleets:
@@ -684,7 +852,7 @@ class PlanningService:
         assert self._loop is not None
         idem_key = None
         if idempotency_key is not None and self._idem.enabled:
-            idem_key = (fingerprint, "plan_many", tenant, idempotency_key)
+            idem_key = (fingerprint, op, tenant, idempotency_key)
             found = self._idem.lookup(idem_key)
             if found is not None:
                 kind, value = found
@@ -702,10 +870,23 @@ class PlanningService:
                      trace, span)
             for n in ns
         ]
-        self._dispatch((fingerprint, tenant), pendings)
+        key = (fingerprint, tenant)
+        if op == "plan_many":
+            self._submit(key, pendings)
+        else:
+            state = self._batches.get(key)
+            if state is None:
+                state = _BatchState()
+                self._batches[key] = state
+                state.timer = self._loop.call_later(
+                    self._config.batch_window, self._flush, key
+                )
+            state.items.extend(pendings)
+            if len(state.items) >= self._config.max_batch:
+                self._flush(key)
         items = [_item_error("internal", "plan future abandoned")] * len(ns)
         try:
-            items = list(await asyncio.gather(*(p.future for p in pendings)))
+            items = [await p.future for p in pendings]
             return items
         finally:
             if idem_key is not None:
@@ -721,9 +902,9 @@ class PlanningService:
             return
         if state.timer is not None:
             state.timer.cancel()
-        self._dispatch(key, state.items)
+        self._submit(key, state.items)
 
-    def _dispatch(self, key: tuple[str, str], pendings: list[_Pending]) -> None:
+    def _submit(self, key: tuple[str, str], pendings: list[_Pending]) -> None:
         """Hand one single-tenant batch to the owning shard (or shed it)."""
         if not pendings:
             return
@@ -1002,157 +1183,41 @@ class PlanningService:
             },
         }
 
-    # -- tracing --------------------------------------------------------
-    def _open_trace(
-        self, client: TraceContext | None, name: str, **attrs: Any
-    ) -> tuple[TraceContext | None, Span | None]:
-        """The request's own trace identity and listener-side root span.
-
-        A client-supplied context stays the trace's identity (its span
-        becomes our parent); otherwise a fresh trace is started.  With
-        serve tracing off, no span is built — the request is counted as
-        sampled and a client trace id is merely echoed.
-        """
-        if not self._tracing:
-            self._recorder.note_sampled()
-            return client, None
-        ctx = client.child() if client is not None else TraceContext.new()
-        root = Span(
-            name=name,
-            attrs=attrs,
-            trace_id=ctx.trace_id,
-            span_id=ctx.span_id,
-            parent_id=ctx.parent_id or "",
-            started=time.time(),
+    # -- the service's dispatch strategy ----------------------------------
+    async def _dispatch(
+        self, request: Any, ctx: TraceContext | None, root: Span | None
+    ) -> tuple[dict, str]:
+        """Plans through the micro-batcher and local shards; local observes."""
+        if isinstance(request, ObserveRequest):
+            doc = await self.observe(request.fleet, request.observations)
+            return ok_response(request.id, doc), "ok"
+        opts = dict(
+            timeout_ms=request.timeout_ms,
+            allocation=request.allocation,
+            trace=ctx if root is not None else None,
+            span=root,
+            tenant=request.tenant,
+            idempotency_key=request.idempotency_key,
         )
-        return ctx, root
+        if isinstance(request, PlanRequest):
+            item = await self.plan(request.fleet, request.n, **opts)
+            if item.get("ok"):
+                return ok_response(request.id, item), "ok"
+            code = item["code"]
+            return error_response(request.id, code, item["message"]), code
+        items = await self.plan_many(request.fleet, request.ns, **opts)
+        # The envelope stays ok (each item carries its own verdict); the
+        # recorder files the worst item code so shed/expired batches land
+        # in the always-retain store.
+        bad = next((it for it in items if not it.get("ok", False)), None)
+        status = "ok" if bad is None else bad.get("code", "internal")
+        return ok_response(request.id, {"results": items}), status
 
-    def _close_trace(
-        self,
-        root: Span,
-        op: str,
-        status: str,
-        fleet: str,
-        n: int | None,
-        started_wall: float,
-        seconds: float,
+    def _answered(
+        self, response: dict, status: str, fleet: str, n: int | None,
+        seconds: float, *, traced: bool,
     ) -> None:
-        """Finish the request's root span and file it with the recorder."""
-        root.seconds = seconds
-        if status != "ok":
-            root.status = "error"
-            root.attrs["code"] = status
-        self._recorder.record(
-            RequestTrace(
-                trace_id=root.trace_id,
-                op=op,
-                status=status,
-                fleet=fleet,
-                n=n,
-                started=started_wall,
-                seconds=seconds,
-                root=root,
-            )
-        )
-        if status == "ok" and fleet and n is not None:
+        """Response-status counters, and the solve-time feed of the sink."""
+        if traced and status == "ok" and fleet and n is not None:
             self._sink.observe_solve(fleet, n=n, seconds=seconds)
-
-    # -- protocol dispatch ----------------------------------------------
-    async def handle(self, raw: Any) -> dict:
-        """One decoded frame in, one response dict out (never raises)."""
-        self._requests.inc()
-        req_id = raw.get("id") if isinstance(raw, Mapping) else None
-        started = time.perf_counter()
-        started_wall = time.time()
-        op = "invalid"
-        status = "ok"
-        fleet, size = "", None
-        trace_id: str | None = None
-        root: Span | None = None
-        try:
-            request = parse_request(raw)
-            op = request.op
-            if isinstance(request, PlanRequest):
-                fleet, size = request.fleet, request.n
-                ctx, root = self._open_trace(request.trace, "serve.plan", n=request.n)
-                trace_id = ctx.trace_id if ctx is not None else None
-                item = await self.plan(
-                    request.fleet,
-                    request.n,
-                    timeout_ms=request.timeout_ms,
-                    allocation=request.allocation,
-                    trace=ctx if root is not None else None,
-                    span=root,
-                    tenant=request.tenant,
-                    idempotency_key=request.idempotency_key,
-                )
-                if item.get("ok"):
-                    response = ok_response(request.id, item, trace_id=trace_id)
-                else:
-                    status = item["code"]
-                    response = error_response(
-                        request.id, item["code"], item["message"], trace_id=trace_id
-                    )
-            elif isinstance(request, PlanManyRequest):
-                fleet = request.fleet
-                ctx, root = self._open_trace(
-                    request.trace, "serve.plan_many", count=len(request.ns)
-                )
-                trace_id = ctx.trace_id if ctx is not None else None
-                items = await self.plan_many(
-                    request.fleet,
-                    request.ns,
-                    timeout_ms=request.timeout_ms,
-                    allocation=request.allocation,
-                    trace=ctx if root is not None else None,
-                    span=root,
-                    tenant=request.tenant,
-                    idempotency_key=request.idempotency_key,
-                )
-                # The envelope stays ok (each item carries its own
-                # verdict); the recorder files the worst item code so
-                # shed/expired batches land in the always-retain store.
-                bad = next((it for it in items if not it.get("ok", False)), None)
-                if bad is not None:
-                    status = bad.get("code", "internal")
-                response = ok_response(
-                    request.id, {"results": items}, trace_id=trace_id
-                )
-            elif isinstance(request, RegisterFleetRequest):
-                info = await self.register_fleet(
-                    spec=fleet_spec_from_speed_functions(
-                        speed_functions_from_fleet_spec(
-                            {"speed_functions": request.speed_functions}
-                        ),
-                        name=request.name,
-                        algorithm=request.algorithm,
-                        options=request.options,
-                        cache_size=request.cache_size,
-                    )
-                )
-                response = ok_response(request.id, info)
-            elif isinstance(request, ObserveRequest):
-                fleet = request.fleet
-                doc = await self.observe(request.fleet, request.observations)
-                response = ok_response(request.id, doc)
-            elif isinstance(request, StatsRequest):
-                response = ok_response(request.id, await self.stats())
-            else:
-                assert isinstance(request, HealthRequest)
-                response = ok_response(request.id, self.health())
-        except ProtocolError as exc:
-            status = exc.code
-            response = error_response(req_id, exc.code, str(exc), trace_id=trace_id)
-        except Exception as exc:  # noqa: BLE001 - the envelope must not leak
-            logger.exception("request handling failed")
-            status = error_code_for(exc)
-            response = error_response(req_id, status, str(exc), trace_id=trace_id)
-        elapsed = time.perf_counter() - started
-        if obs.is_enabled() or root is not None:
-            self._latency[op if op in self._latency else "invalid"].observe(
-                elapsed, exemplar=trace_id
-            )
-        if root is not None:
-            self._close_trace(root, op, status, fleet, size, started_wall, elapsed)
         (self._responses_ok if response["ok"] else self._responses_err).inc()
-        return response

@@ -63,7 +63,7 @@ from ..obs.context import new_span_id
 from ..obs.spans import Span
 from ..planner.tiered import TieredPlanCache, WarmPlanStore
 from .hashring import HashRing
-from .protocol import error_code_for, speed_functions_from_fleet_spec
+from .protocol import _item_error, error_code_for, speed_functions_from_fleet_spec
 from .tenancy import CONTROL_TENANT, WFQueue
 
 __all__ = ["ShardPool", "worker_loop", "result_to_dict"]
@@ -98,10 +98,6 @@ def result_to_dict(result, *, allocation: bool = True) -> dict:
     if allocation:
         out["allocation"] = [int(x) for x in result.allocation]
     return out
-
-
-def _item_error(code: str, message: str) -> dict:
-    return {"ok": False, "code": code, "message": message}
 
 
 def _build_planner(spec: Mapping, warm: WarmPlanStore | None):

@@ -98,6 +98,11 @@ def test_invalidate_evicts_both_tiers_exactly(mode, pair_specs):
         _solve(pool, fp_b, SIZES)
         store = pool.warm_store
         assert store is not None
+        # Let fp_a's shard finish its write-behind first: a restart closes
+        # the worker's TieredPlanCache, which writes every queued mirror
+        # and joins its writer.  Invalidating while mirrors were still
+        # queued let a late one resurrect fp_a in the store.
+        pool.restart_shard(pool.shard_for(fp_a))
         entries_before = len(store)
         assert entries_before >= 2
 

@@ -186,6 +186,75 @@ class TestServeCommand:
         assert "(http disabled)" in capsys.readouterr().out
 
 
+class TestClusterUp:
+    def test_cluster_up_once_boots_registers_self_checks_and_stops(self, capsys):
+        import multiprocessing
+        import re
+        import socket
+
+        assert main([
+            "cluster", "up", "--nodes", "2", "--once", "--port", "0",
+            "--http-port", "0", "--p", "4",
+        ]) == 0
+        out = capsys.readouterr().out
+        addr = re.search(
+            r"cluster router on (\S+):(\d+) \(http (\d+)\) over 2 node\(s\): (.+)",
+            out,
+        )
+        assert addr is not None, out
+        assert int(addr.group(2)) > 0
+        members = addr.group(4).split(", ")
+        assert len(members) == 2
+        registered = re.search(r"fleet \S+ registered: fingerprint \w+ on (.+)", out)
+        assert registered is not None, out
+        assert sorted(registered.group(1).split()) == sorted(members)
+        assert re.search(r"self-check plan n=\d+: makespan \S+s in \d+ iterations", out)
+        assert "draining" in out
+        # Both node processes were stopped and reaped, and their ports closed.
+        assert not [
+            p for p in multiprocessing.active_children()
+            if p.name.startswith("repro-node-")
+        ]
+        for member in members:
+            host, _, port = member.rpartition(":")
+            with pytest.raises(OSError):
+                socket.create_connection((host, int(port)), timeout=2.0).close()
+
+
+class TestRouterFacingTrace:
+    def test_trace_serve_merges_router_and_member_traces(self, capsys):
+        from repro.cluster import RouterConfig, start_router_in_thread, start_thread_node
+        from repro.experiments import build_network_models, tile_speed_functions
+        from repro.machines import table2_network
+        from repro.serve import ServeClient, ServeConfig
+
+        node = start_thread_node("n0", shards=1)
+        router = start_router_in_thread(
+            RouterConfig(probe_interval=0), [node.info], ServeConfig(http_port=0)
+        )
+        try:
+            sfs = tile_speed_functions(
+                build_network_models(table2_network(), "matmul"), 4
+            )
+            with ServeClient(router.host, router.port) as client:
+                info = client.register_fleet(sfs, name="cli-router")
+                resp = client.call(
+                    "plan", fleet=info["fingerprint"], n=250_000, allocation=False
+                )
+            addr = f"{router.host}:{router.http_port}"
+            assert main(["trace", "--serve", addr]) == 0
+            listing = capsys.readouterr().out
+            assert resp["trace_id"] in listing
+            assert "router" in listing and node.node_id in listing
+            assert main(["trace", "--serve", addr, "--trace-id", resp["trace_id"]]) == 0
+            detail = capsys.readouterr().out
+            assert "(router + 1 node subtree(s))" in detail
+            assert "cluster.attempt" in detail and "serve.plan" in detail
+        finally:
+            router.stop()
+            node.stop()
+
+
 class TestServeFacingStatsAndTrace:
     @pytest.fixture
     def live_server(self):

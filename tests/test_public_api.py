@@ -1,6 +1,7 @@
 """Snapshot of the public API surface.
 
-These tests freeze ``repro.__all__`` and the signatures of the main entry
+These tests freeze ``repro.__all__`` (and the exports of ``repro.adapt``,
+``repro.serve`` and ``repro.cluster``) and the signatures of the main entry
 points.  A failure here means the public surface changed: if that is
 intentional, update the snapshot *and* the docs (``docs/api.md``,
 ``docs/adaptive.md``) in the same change.
@@ -12,6 +13,8 @@ import inspect
 
 import repro
 import repro.adapt as adapt
+import repro.cluster as cluster
+import repro.serve as serve
 
 EXPECTED_ALL = [
     "ALGORITHMS",
@@ -103,6 +106,60 @@ EXPECTED_ADAPT_ALL = [
     "simulate_striped_matmul_adaptive",
 ]
 
+EXPECTED_SERVE_ALL = [
+    "AsyncServeClient",
+    "HashRing",
+    "LoadReport",
+    "OnlineRefitConfig",
+    "PROTOCOL_VERSION",
+    "PlanServer",
+    "PlanningService",
+    "ProtocolError",
+    "QuotaManager",
+    "ServeClient",
+    "ServeConfig",
+    "ServeError",
+    "ServerHandle",
+    "ShardPool",
+    "TenancyConfig",
+    "TenantQuota",
+    "TokenBucket",
+    "WFQueue",
+    "decode_frame",
+    "encode_frame",
+    "error_response",
+    "fleet_spec_from_speed_functions",
+    "ok_response",
+    "parse_request",
+    "run_load",
+    "speed_functions_from_fleet_spec",
+    "start_in_thread",
+]
+
+EXPECTED_CLUSTER_ALL = [
+    "BreakerConfig",
+    "CircuitBreaker",
+    "CLOSED",
+    "OPEN",
+    "HALF_OPEN",
+    "ClusterMembership",
+    "NodeInfo",
+    "RemapReport",
+    "node_id_of",
+    "parse_node_id",
+    "NodeBusy",
+    "NodeLink",
+    "NodeUnavailable",
+    "ProcessNode",
+    "ThreadNode",
+    "start_nodes",
+    "start_process_node",
+    "start_thread_node",
+    "RouterConfig",
+    "RouterService",
+    "start_router_in_thread",
+]
+
 #: name -> exact signature string (as rendered by inspect.signature).
 EXPECTED_SIGNATURES = {
     "partition": (
@@ -159,6 +216,20 @@ def test_adapt_all_is_frozen():
 def test_every_adapt_export_resolves():
     for name in adapt.__all__:
         assert hasattr(adapt, name), name
+
+
+def test_serve_all_is_frozen():
+    assert list(serve.__all__) == EXPECTED_SERVE_ALL
+
+
+def test_cluster_all_is_frozen():
+    assert list(cluster.__all__) == EXPECTED_CLUSTER_ALL
+
+
+def test_every_serve_and_cluster_export_resolves():
+    for module in (serve, cluster):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_entry_point_signatures_are_frozen():
