@@ -4,7 +4,9 @@ The partitioning algorithms spend essentially all their time intersecting
 one ray with ``p`` speed graphs, ``O(log n)`` times.  The generic path
 loops over ``p`` Python objects; this module packs the whole fleet into
 padded 2-D arrays and resolves the whole ray in a handful of NumPy
-operations (a fixed-depth branchless binary search over the knot slopes).
+operations: each row's segment is found by counting the knots whose ray
+slope lies at or above the query (rows are non-increasing), one dense
+comparison for the whole fleet.
 
 :func:`pack_speed_functions` builds the shared pack (or returns ``None``
 when the fast path does not apply); callers that answer many queries over
@@ -71,6 +73,7 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,6 +86,10 @@ __all__ = [
     "pack_speed_functions",
     "packing_disabled",
 ]
+
+#: Largest ``slopes x p x knots`` comparison one dense segment count may
+#: build; :meth:`PiecewiseLinearSet.allocations_many` chunks wider batches.
+_COUNT_MAX_ELEMENTS = 32_000_000
 
 #: When set, :func:`pack_speed_functions` refuses to pack — the honest
 #: per-object baseline for benchmarks and differential conformance runs.
@@ -137,6 +144,13 @@ class PiecewiseLinearSet:
     evaluated lazily on top of the shared knot arrays, each gated on a
     fleet-level flag so a pure piecewise-linear fleet executes exactly the
     original array expressions.
+
+    Construction is one pass over the *distinct* rows: a tiled fleet that
+    repeats a few model objects lowers and packs each of them once, then
+    gathers the arrays to its ``p`` processors.  The arrays are stored
+    knot-major (one contiguous processor vector per knot), the layout the
+    dense segment search reads; the row-major ``(p, knots)`` arrays are
+    transposed views of that storage.
     """
 
     def __init__(
@@ -145,96 +159,113 @@ class PiecewiseLinearSet:
         rows: Sequence[KnotRow] | None = None,
     ):
         if rows is None:
-            rows = [sf.as_knots() for sf in functions]
-            missing = [i for i, r in enumerate(rows) if r is None]
-            if missing:
+            rows, blocked = _lower(functions)
+            if blocked is not None:
                 raise ValueError(
-                    f"speed_functions[{missing[0]}] "
-                    f"({type(functions[missing[0]]).__name__}) does not compile"
+                    f"speed_functions[{blocked}] "
+                    f"({type(functions[blocked]).__name__}) does not compile"
                 )
         p = len(rows)
-        widths = [r.num_knots for r in rows]
-        m = max(widths)
-        xs = np.empty((p, m))
-        ss = np.empty((p, m))
-        for i, r in enumerate(rows):
-            k = r.num_knots
-            xs[i, :k] = r.sizes
-            ss[i, :k] = r.speeds
-            xs[i, k:] = r.sizes[-1]
-            ss[i, k:] = r.speeds[-1]
-        self._xs = xs
-        self._ss = ss
-        self._widths = np.asarray(widths, dtype=np.int64)
-        # Row decorations.
-        self._scale = np.array([r.scale for r in rows])
-        self._alpha = np.array([r.alpha for r in rows])
-        self._beta = np.array([r.beta for r in rows])
-        self._comm_mask = (self._alpha > 0) | (self._beta > 0)
-        self._has_scale = bool(np.any(self._scale != 1.0))
-        self._has_comm = bool(np.any(self._comm_mask))
-        self._exact = np.array([r.exact for r in rows], dtype=bool)
-        # Effective domain bound per row (the truncation cap when present)
-        # and the inner (compute) speed there.
-        knot_last_x = np.array([float(r.sizes[-1]) for r in rows])
-        knot_last_s = np.array([float(r.speeds[-1]) for r in rows])
-        caps = np.array(
-            [np.inf if r.x_cap is None else float(r.x_cap) for r in rows]
+        # Everything below is computed once per *distinct* row object
+        # (a tiled fleet repeats a handful of models) and then gathered
+        # to the ``p`` processors through ``index``.
+        uniq = _distinct(rows)
+        slot = {id(r): j for j, r in enumerate(uniq)}
+        index = np.fromiter(map(slot.__getitem__, map(id, rows)), np.intp, p)
+        u = len(uniq)
+        sizes, speeds, drops, scale, alpha, beta, x_cap, s_cap, exact = zip(
+            *map(_ROW_FIELDS, uniq)
         )
-        self._has_trunc = bool(np.any(caps < knot_last_x))
-        self._x_knot_last = knot_last_x
-        self._x_last = np.minimum(caps, knot_last_x)
-        self._s_last = np.where(
-            caps < knot_last_x,
-            np.array(
-                [0.0 if r.s_cap is None else float(r.s_cap) for r in rows]
-            ),
-            knot_last_s,
+        widths = np.fromiter(map(len, sizes), np.int64, u)
+        m = int(widths.max())
+        # Arrays are built in the search layout: knots along axis 0, rows
+        # along axis 1, so the per-processor count and gathers of a query
+        # run over contiguous processor vectors.  The row-major names the
+        # pack exposes are transposed views of this storage.
+        #
+        # One padded gather from the concatenated knots: knot j of a row
+        # reads its knot min(j, width-1), so pads repeat the last knot.
+        knot = np.arange(m)[:, None]
+        take = (np.cumsum(widths) - widths) + np.minimum(knot, widths - 1)
+        xs = np.concatenate(sizes, dtype=float)[take]
+        ss = np.concatenate(speeds, dtype=float)[take]
+        # Decorations, one column per distinct row.
+        deco = np.array(
+            [
+                scale,
+                alpha,
+                beta,
+                [np.inf if c is None else c for c in x_cap],
+                [0.0 if c is None else c for c in s_cap],
+                exact,
+            ],
+            dtype=float,
         )
+        comm = (deco[1] > 0) | (deco[2] > 0)
         # Effective ray slopes at each knot.  Pure rows: g = s/x.  Comm
         # rows: g' = 1/t(x_k) with t = x/s + alpha + beta*x, strictly
         # decreasing, bounded above by 1/alpha.
         with np.errstate(divide="ignore", invalid="ignore"):
             gs = ss / xs
-            if self._has_comm:
-                t_k = (
-                    xs / ss
-                    + self._alpha[:, None]
-                    + self._beta[:, None] * xs
-                )
-                gs = np.where(self._comm_mask[:, None], 1.0 / t_k, gs)
+            if comm.any():
+                t_k = xs / ss + deco[1] + deco[2] * xs
+                gs = np.where(comm, 1.0 / t_k, gs)
         # Make padded slots unreachable: strictly below every real slope.
-        pad = np.arange(m)[None, :] >= np.asarray(widths)[:, None]
-        gs = np.where(pad, -np.inf, gs)
-        self._gs = gs
-        self._g_first = gs[:, 0]
-        self._g_last = gs[np.arange(p), self._widths - 1]
-        self._s_first = ss[:, 0]
-        # Per-segment line parameters s = a + b*x (column j: segment j->j+1).
+        gs[knot >= widths] = -np.inf
+        # Per-segment line parameters s = a + b*x (entry j: segment j->j+1).
         # Unbounded rows put their last knot at infinity: their pad
         # segments produce nan parameters (inf - inf), but the search can
         # only land there when the shallow override fires, so the values
         # are never read.  Flat segments force the intercept to the knot
         # speed rather than risk 0 * inf.
         with np.errstate(divide="ignore", invalid="ignore"):
-            dx = np.diff(xs, axis=1)
-            b = np.where(dx > 0, np.diff(ss, axis=1) / np.where(dx > 0, dx, 1.0), 0.0)
-            intercept = np.where(b != 0, ss[:, :-1] - b * xs[:, :-1], ss[:, :-1])
+            dx = np.diff(xs, axis=0)
+            b = np.where(dx > 0, np.diff(ss, axis=0) / np.where(dx > 0, dx, 1.0), 0.0)
+            intercept = np.where(b != 0, ss[:-1] - b * xs[:-1], ss[:-1])
         # Step-model drop segments: zero the line so the segment solve
         # yields 0, which the [x0, x1] clip then lifts to the left
         # boundary — the exact ``sup`` answer for a ray crossing a
         # vertical speed drop.  (Comm rows: A=0, B=1, C=0 resolves the
         # quadratic to 0 with the same clip.)
-        for i, r in enumerate(rows):
-            if r.drops is not None and np.any(r.drops):
-                d = np.asarray(r.drops, dtype=bool)
-                b[i, : d.size][d] = 0.0
-                intercept[i, : d.size][d] = 0.0
-        self._seg_slope = b
-        self._seg_intercept = intercept
-        self._depth = max(int(np.ceil(np.log2(max(m, 2)))) + 1, 1)
-        self._m = m
+        stepped = [j for j, d in enumerate(drops) if d is not None]
+        if stepped:
+            flags = [np.asarray(drops[j], dtype=bool) for j in stepped]
+            lens = np.fromiter(map(len, flags), np.int64, len(flags))
+            drop = np.concatenate(flags)
+            row = np.repeat(stepped, lens)[drop]
+            seg = (np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens))[drop]
+            b[seg, row] = 0.0
+            intercept[seg, row] = 0.0
+        if u < p:
+            xs, ss, gs, b, intercept, deco = (
+                arr.take(index, axis=1) for arr in (xs, ss, gs, b, intercept, deco)
+            )
+            widths = widths[index]
+        self._xs = xs.T
+        self._ss = ss.T
+        self._gs = gs.T
+        self._seg_slope = b.T
+        self._seg_intercept = intercept.T
+        self._widths = widths
+        # Row decorations.
+        self._scale, self._alpha, self._beta, caps, s_caps, exact = deco
+        self._comm_mask = (self._alpha > 0) | (self._beta > 0)
+        self._has_scale = bool(np.any(self._scale != 1.0))
+        self._has_comm = bool(np.any(self._comm_mask))
+        self._exact = exact != 0.0
+        # Effective domain bound per row (the truncation cap when present)
+        # and the inner (compute) speed there.  The last padded knot is
+        # every row's last knot.
+        knot_last_x = xs[-1]
+        self._has_trunc = bool(np.any(caps < knot_last_x))
+        self._x_knot_last = knot_last_x
+        self._x_last = np.minimum(caps, knot_last_x)
+        self._s_last = np.where(caps < knot_last_x, s_caps, ss[-1])
         self._rows = np.arange(p)
+        self._g_first = gs[0]
+        self._g_last = gs[widths - 1, self._rows]
+        self._s_first = ss[0]
+        self._m = m
         self._fingerprint: str | None = None
         # Shared across rescaled() clones so the expensive knot digest is
         # computed once per knot set, not once per scale vector.
@@ -337,26 +368,54 @@ class PiecewiseLinearSet:
     # ------------------------------------------------------------------
     def allocations(self, slope: float) -> np.ndarray:
         """Size coordinates of the ray's intersection with every graph."""
-        gs = self._gs
+        return self._intersect(slope)
+
+    def allocations_many(self, slopes: np.ndarray) -> np.ndarray:
+        """Ray intersections for a whole batch of slopes at once.
+
+        Returns a ``(len(slopes), p)`` array whose row ``r`` is bit-identical
+        to ``allocations(slopes[r])`` — the arithmetic is the same expression
+        broadcast over the batch axis, so batched solvers (the planner's
+        lockstep sweep) produce exactly the per-query results while paying
+        the NumPy dispatch overhead once per step instead of once per query.
+        Batches whose dense segment count would exceed
+        ``_COUNT_MAX_ELEMENTS`` are solved in chunks under that cap.
+        """
+        c = np.asarray(slopes, dtype=float)[:, None]  # (q, 1)
+        step = max(1, _COUNT_MAX_ELEMENTS // (self.p * self._m))
+        if c.shape[0] <= step:
+            return self._intersect(c)
+        return np.concatenate(
+            [self._intersect(c[i : i + step]) for i in range(0, c.shape[0], step)]
+        )
+
+    def _intersect(self, c) -> np.ndarray:
+        """Ray intersections for a scalar slope or a ``(q, 1)`` batch.
+
+        Every expression broadcasts over the optional batch axis, so a
+        batch row is bit-identical to the scalar answer for its slope.
+        """
+        p, rows = self.p, self._rows
         # Scaled rows divide the query slope instead of their knots — the
         # exact operation _ScaledSpeedFunction.intersect_ray applies.
-        cq = slope / self._scale if self._has_scale else slope
-        # Branchless binary search for k = max{j : g[j] >= slope} per row.
-        lo = np.zeros(self.p, dtype=np.int64)
-        hi = np.full(self.p, self._m - 1, dtype=np.int64)
-        for _ in range(self._depth):
-            mid = (lo + hi + 1) >> 1
-            cond = gs[self._rows, mid] >= cq
-            lo = np.where(cond, mid, lo)
-            hi = np.where(cond, hi, mid - 1)
-        k = np.minimum(lo, self._m - 2)
-        a = self._seg_intercept[self._rows, k]
-        b = self._seg_slope[self._rows, k]
+        cq = c / self._scale if self._has_scale else c
+        # Segment search: each row of ``gs`` is non-increasing (strictly
+        # decreasing knots, -inf pads), so k = max{j : g[j] >= slope} is
+        # the count of entries at/above the slope, minus one — one dense
+        # comparison over the (knots, p) storage instead of a search loop.
+        # (An int32 count is exact for any knot count; the flat index below
+        # is formed in intp, which holds any storage offset.)
+        count = (self._gs.T >= _with_knot_axis(cq)).sum(axis=-2, dtype=np.int32)
+        k = np.minimum(np.maximum(count - 1, 0), self._m - 2)
+        # Flat index of segment k in the (knots, p) storage.
+        kp = np.multiply(k, p, dtype=np.intp) + rows
+        a = self._seg_intercept.T.take(kp)
+        b = self._seg_slope.T.take(kp)
         denom = cq - b
         with np.errstate(divide="ignore", invalid="ignore"):
             x = np.where(denom > 0, a / np.where(denom > 0, denom, 1.0), np.inf)
-        x0 = self._xs[self._rows, k]
-        x1 = self._xs[self._rows, np.minimum(k + 1, self._m - 1)]
+        x0 = self._xs.T.take(kp)
+        x1 = self._xs.T.take(kp + p)
         x = np.clip(x, x0, x1)
         # Case 1: steeper than the first knot's ray -> constant extension.
         steep = cq >= self._g_first
@@ -364,14 +423,14 @@ class PiecewiseLinearSet:
         # Case 2: shallower than the last knot's ray -> clamp at the bound.
         x = np.where(cq <= self._g_last, self._x_knot_last, x)
         if self._has_comm:
-            x = self._comm_allocations(slope, a, b, x0, x1, steep, cq, x)
+            x = self._comm_allocations(c, a, b, x0, x1, steep, cq, x)
         if self._has_trunc:
             x = np.minimum(x, self._x_last)
         if self._has_comm:
             priced = (
                 self._comm_mask
                 & (self._alpha > 0)
-                & (1.0 / slope <= self._alpha)
+                & (1.0 / c <= self._alpha)
             )
             x = np.where(priced, 0.0, x)
         return x
@@ -416,83 +475,6 @@ class PiecewiseLinearSet:
         xq = np.where(cq <= self._g_last, self._x_knot_last, xq)
         return np.where(self._comm_mask, xq, x)
 
-    def allocations_many(self, slopes: np.ndarray) -> np.ndarray:
-        """Ray intersections for a whole batch of slopes at once.
-
-        Returns a ``(len(slopes), p)`` array whose row ``r`` is bit-identical
-        to ``allocations(slopes[r])`` — the arithmetic is the same expression
-        broadcast over the batch axis, so batched solvers (the planner's
-        lockstep sweep) produce exactly the per-query results while paying
-        the NumPy dispatch overhead once per step instead of once per query.
-        """
-        c = np.asarray(slopes, dtype=float)[:, None]  # (q, 1)
-        q = c.shape[0]
-        gs = self._gs
-        rows = self._rows
-        cq = c / self._scale[None, :] if self._has_scale else c
-        if q * self.p * self._m <= 32_000_000:
-            # Each row of ``gs`` is non-increasing (the strict-decrease
-            # invariant, -inf padding), so the searched index is just the
-            # count of entries at/above the slope, minus one — two large
-            # vector operations instead of a dispatch-heavy search loop.
-            # Identical k to the binary search, hence bit-identical output.
-            count = (gs[None, :, :] >= np.asarray(cq)[:, :, None]).sum(axis=2)
-            k = np.minimum(np.maximum(count - 1, 0), self._m - 2)
-        else:
-            lo = np.zeros((q, self.p), dtype=np.int64)
-            hi = np.full((q, self.p), self._m - 1, dtype=np.int64)
-            for _ in range(self._depth):
-                mid = (lo + hi + 1) >> 1
-                cond = gs[rows, mid] >= cq
-                lo = np.where(cond, mid, lo)
-                hi = np.where(cond, hi, mid - 1)
-            k = np.minimum(lo, self._m - 2)
-        a = self._seg_intercept[rows, k]
-        b = self._seg_slope[rows, k]
-        denom = cq - b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.where(denom > 0, a / np.where(denom > 0, denom, 1.0), np.inf)
-        x0 = self._xs[rows, k]
-        x1 = self._xs[rows, np.minimum(k + 1, self._m - 1)]
-        x = np.clip(x, x0, x1)
-        steep = cq >= self._g_first
-        x = np.where(steep, self._s_first / cq, x)
-        x = np.where(cq <= self._g_last, self._x_knot_last, x)
-        if self._has_comm:
-            T = 1.0 / c
-            aa, bb = self._alpha, self._beta
-            A = bb * b
-            B = 1.0 + aa * b + bb * a - T * b
-            C = a * (aa - T)
-            disc = np.sqrt(np.maximum(B * B - 4.0 * A * C, 0.0))
-            nzA = A != 0
-            stable = nzA & (B > 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xq = np.where(
-                    nzA,
-                    (-B + disc) / np.where(nzA, 2.0 * A, 1.0),
-                    np.where(B > 0, -C / np.where(B != 0, B, 1.0), x1),
-                )
-                xq = np.where(
-                    stable,
-                    2.0 * C / np.where(stable, -B - disc, 1.0),
-                    xq,
-                )
-            xq = np.clip(xq, x0, x1)
-            xq = np.where(steep, (T - aa) / (1.0 / self._s_first + bb), xq)
-            xq = np.where(cq <= self._g_last, self._x_knot_last, xq)
-            x = np.where(self._comm_mask, xq, x)
-        if self._has_trunc:
-            x = np.minimum(x, self._x_last)
-        if self._has_comm:
-            priced = (
-                self._comm_mask
-                & (self._alpha > 0)
-                & (1.0 / c <= self._alpha)
-            )
-            x = np.where(priced, 0.0, x)
-        return x
-
     def total(self, slope: float) -> float:
         return float(self.allocations(slope).sum())
 
@@ -510,27 +492,21 @@ class PiecewiseLinearSet:
         speeds outside the knot range.
         """
         x = np.asarray(x, dtype=float)
-        xs, ss, rows = self._xs, self._ss, self._rows
-        # Branchless binary search for j = max{col : xs[col] <= x} per row.
-        # Padded columns repeat the last knot size, so for x below the bound
-        # they are never selected; x at/above the bound is masked below.
-        lo = np.zeros(self.p, dtype=np.int64)
-        hi = np.full(self.p, self._m - 1, dtype=np.int64)
-        for _ in range(self._depth):
-            mid = (lo + hi + 1) >> 1
-            cond = xs[rows, mid] <= x
-            lo = np.where(cond, mid, lo)
-            hi = np.where(cond, hi, mid - 1)
-        j = np.minimum(lo, self._m - 2)
-        dx = xs[rows, j + 1] - xs[rows, j]
+        xs, ss, p = self._xs.T, self._ss.T, self.p  # (knots, p) storage
+        # Segment search: j = max{col : xs[col] <= x} per row is the count
+        # of knots at/below x, minus one (knot sizes increase; pads repeat
+        # the last knot, so they count only for x at/above the bound,
+        # which is masked below).
+        count = (xs <= _with_knot_axis(x)).sum(axis=-2, dtype=np.int32)
+        j = np.minimum(np.maximum(count - 1, 0), self._m - 2)
+        jp = np.multiply(j, p, dtype=np.intp) + self._rows
+        x0, x1 = xs.take(jp), xs.take(jp + p)
+        s0, s1 = ss.take(jp), ss.take(jp + p)
+        dx = x1 - x0
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.where(
-                dx > 0,
-                (ss[rows, j + 1] - ss[rows, j]) / np.where(dx > 0, dx, 1.0),
-                0.0,
-            )
-        out = slope * (x - xs[rows, j]) + ss[rows, j]
-        out = np.where(x <= xs[rows, 0], self._s_first, out)
+            slope = np.where(dx > 0, (s1 - s0) / np.where(dx > 0, dx, 1.0), 0.0)
+        out = slope * (x - x0) + s0
+        out = np.where(x <= xs[0], self._s_first, out)
         out = np.where(x >= self._x_last, self._s_last, out)
         return out
 
@@ -618,6 +594,16 @@ class PiecewiseLinearSet:
         return x / s
 
 
+def _with_knot_axis(v):
+    """``v`` shaped to broadcast against a ``(knots, p)`` storage array.
+
+    A scalar stays a scalar; a per-row ``(..., p)`` or a batch ``(q, 1)``
+    gains a knot axis before its last one.
+    """
+    v = np.asarray(v)
+    return v[..., None, :] if v.ndim else v
+
+
 def _record_pack_build() -> None:
     from .. import obs
 
@@ -634,6 +620,35 @@ def _record_pack_rescale() -> None:
         obs.get_registry().counter(
             "core.pack.rescale", help="O(p) scale-vector pack clones"
         ).inc()
+
+
+#: The :class:`KnotRow` fields :class:`PiecewiseLinearSet` reads, in the
+#: order its constructor unpacks them.
+_ROW_FIELDS = attrgetter(
+    "sizes", "speeds", "drops", "scale", "alpha", "beta", "x_cap", "s_cap", "exact"
+)
+
+
+def _distinct(items: Sequence) -> list:
+    """The distinct objects of ``items`` by identity, in first-seen order."""
+    return list(dict(zip(map(id, items), items)).values())
+
+
+def _lower(
+    functions: Sequence[SpeedFunction],
+) -> tuple[list[KnotRow], int | None]:
+    """``as_knots()`` of every member, lowering each distinct object once.
+
+    Repeats of one object (a tiled fleet) share its row, keyed by
+    identity for this call only.  Returns the rows and ``None``, or, when
+    a member does not compile, the index of the first such member in
+    place of ``None``.
+    """
+    lowered = {id(sf): sf.as_knots() for sf in _distinct(functions)}
+    rows = list(map(lowered.__getitem__, map(id, functions)))
+    if any(row is None for row in lowered.values()):
+        return rows, rows.index(None)
+    return rows, None
 
 
 def pack_speed_functions(
@@ -661,14 +676,11 @@ def pack_speed_functions(
     if len(speed_functions) < 2:
         _record_pack("fallback", "fleet_too_small")
         return None
-    rows = []
-    for sf in speed_functions:
-        row = sf.as_knots()
-        if row is None:
-            _record_pack("fallback", type(sf).__name__)
-            return None
-        rows.append(row)
-    if max(r.num_knots for r in rows) < 2:
+    rows, blocked = _lower(speed_functions)
+    if blocked is not None:
+        _record_pack("fallback", type(speed_functions[blocked]).__name__)
+        return None
+    if max(r.num_knots for r in _distinct(rows)) < 2:
         _record_pack("fallback", "degenerate_knots")
         return None
     _record_pack("fast_path")
